@@ -506,37 +506,88 @@ func BenchmarkWaterfill(b *testing.B) {
 	}
 }
 
-// BenchmarkCombinePortions is the Assign_Distribute dynamic program.
+// BenchmarkCombinePortions is the Assign_Distribute dynamic program on
+// a 128-server cluster shaped like the average call of the perfbench
+// batch-exact solve: 82 dead rows (disk-infeasible or saturated servers,
+// NegInf for every unit > 0) and 46 live rows holding four distinct
+// value vectors, randomly interleaved. "full" feeds every row, as
+// Assign_Distribute did before it left dead rows out; "live" feeds the
+// 46 rows it passes now. Both run in a reused scratch, as the solver's
+// calls do.
 func BenchmarkCombinePortions(b *testing.B) {
-	const servers, grid = 25, 10
-	rows := make([][]float64, servers)
-	for s := range rows {
+	const servers, live, grid = 128, 46, 10
+	rng := rand.New(rand.NewSource(1))
+	dead := make([]float64, grid+1)
+	for g := 1; g <= grid; g++ {
+		dead[g] = opt.NegInf
+	}
+	distinct := make([][]float64, 4)
+	for d := range distinct {
 		row := make([]float64, grid+1)
 		for g := 1; g <= grid; g++ {
-			row[g] = float64((s*7+g*3)%11) - 2
+			x := float64(g) / grid
+			row[g] = float64(10+d)*x - float64(4+d)*x*x - float64(d)
 		}
-		rows[s] = row
+		distinct[d] = row
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := opt.CombinePortions(rows, grid); err != nil {
-			b.Fatal(err)
+	full := make([][]float64, servers)
+	var liveRows [][]float64
+	for s, j := range rng.Perm(servers) {
+		full[s] = dead
+		if j < live {
+			full[s] = distinct[rng.Intn(len(distinct))]
+			liveRows = append(liveRows, full[s])
 		}
+	}
+	for _, tc := range []struct {
+		name string
+		rows [][]float64
+	}{{"full", full}, {"live", liveRows}} {
+		b.Run(tc.name, func(b *testing.B) {
+			var ps opt.PortionScratch
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ps.Combine(tc.rows, grid); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkAssignDistribute is one client×cluster placement evaluation.
+// BenchmarkAssignDistribute is one client×cluster placement evaluation
+// through the exported entry point, on the state after one greedy start
+// on workload.ScaleConfig(500, 1): clusters of 128 servers as in the
+// perfbench batch workloads, most still inactive (identical rows per
+// server class) and some active ones saturated. It prices only the
+// clients cluster 0 can place, so every iteration runs the whole DP and
+// any error fails the benchmark.
 func BenchmarkAssignDistribute(b *testing.B) {
-	scen := benchScenario(b, 50, 14)
+	scen, err := workload.Generate(workload.ScaleConfig(500, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
 	solver, err := core.NewSolver(scen, core.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	a := alloc.New(scen)
+	a, err := solver.InitialSolution(rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var placeable []model.ClientID
+	for c := 0; c < scen.NumClients(); c++ {
+		if _, _, err := solver.AssignDistribute(a, model.ClientID(c), 0); err == nil {
+			placeable = append(placeable, model.ClientID(c))
+		}
+	}
+	if len(placeable) == 0 {
+		b.Fatal("cluster 0 can place no client")
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := model.ClientID(i % scen.NumClients())
-		if _, _, err := solver.AssignDistribute(a, id, 0); err != nil {
+		if _, _, err := solver.AssignDistribute(a, placeable[i%len(placeable)], 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -44,7 +44,10 @@ type greedyState struct {
 	cands  []alloc.Candidate
 	evals  []greedyEval
 	dist   distScratch
-	ref    telemetry.TraceRef
+	// dists holds one scratch per cluster in scope for placeBestFull's
+	// per-cluster goroutines under Config.Parallel.
+	dists []distScratch
+	ref   telemetry.TraceRef
 
 	evaluated int64
 	pruned    int64
@@ -53,28 +56,23 @@ type greedyState struct {
 // newGreedyState builds the candidate-generation state for one greedy
 // pass over allocation a: index-backed when Config.CandidateClusters
 // enables top-k pruning within the scope, plain (exact scan) otherwise.
-func (s *Solver) newGreedyState(a *alloc.Allocation, subset []model.ClusterID) *greedyState {
+// ref stamps the pass's flight-recorder events with the enclosing span's
+// trace context.
+func (s *Solver) newGreedyState(a *alloc.Allocation, subset []model.ClusterID, ref telemetry.TraceRef) *greedyState {
+	gs := &greedyState{subset: subset, ref: ref}
 	limit := s.scen.Cloud.NumClusters()
 	if subset != nil {
 		limit = len(subset)
 	}
 	if k := s.cfg.CandidateClusters; k > 0 && k < limit {
-		return &greedyState{ix: alloc.NewIndex(a), subset: subset}
+		gs.ix = alloc.NewIndex(a)
 	}
-	return &greedyState{subset: subset}
-}
-
-// setRef stamps the pass's flight-recorder events with the enclosing
-// span's trace context. Nil-safe (placeBest accepts a nil state).
-func (gs *greedyState) setRef(ref telemetry.TraceRef) {
-	if gs != nil {
-		gs.ref = ref
-	}
+	return gs
 }
 
 // flushTelemetry folds the pass's index counters into the solver metrics.
 func (gs *greedyState) flushTelemetry(tel *solverTel) {
-	if gs == nil || tel == nil {
+	if tel == nil {
 		return
 	}
 	if gs.evaluated > 0 {
@@ -87,19 +85,12 @@ func (gs *greedyState) flushTelemetry(tel *solverTel) {
 }
 
 // placeBest assigns client i to its most profitable cluster within gs's
-// scope (nil gs = exact whole-cloud scan); ErrCannotPlace when no cluster
-// can host it.
+// scope; ErrCannotPlace when no cluster can host it.
 func (s *Solver) placeBest(a *alloc.Allocation, i model.ClientID, gs *greedyState) error {
-	if gs != nil && gs.ix != nil {
+	if gs.ix != nil {
 		return s.placeBestIndexed(a, i, gs)
 	}
-	var subset []model.ClusterID
-	var ref telemetry.TraceRef
-	if gs != nil {
-		subset = gs.subset
-		ref = gs.ref
-	}
-	return s.placeBestFull(a, i, subset, ref)
+	return s.placeBestFull(a, i, gs)
 }
 
 // flightSampled returns the flight recorder when client i falls into its
@@ -122,64 +113,60 @@ func (s *Solver) flightRecord(e telemetry.Event) {
 	}
 }
 
-// placeBestFull is the exact path: price every cluster in scope, pick the
-// best estimate, and fall through the estimate order until one Assign
-// sticks. With a nil subset this is exactly the seed solver's placeBest.
-// ref stamps the outcome's flight-recorder event.
-func (s *Solver) placeBestFull(a *alloc.Allocation, i model.ClientID, subset []model.ClusterID, ref telemetry.TraceRef) error {
-	type result struct {
-		est      float64
-		portions []alloc.Portion
-		ok       bool
-	}
-	numC := s.scen.Cloud.NumClusters()
-	clusterAt := func(idx int) model.ClusterID { return model.ClusterID(idx) }
-	if subset != nil {
-		numC = len(subset)
-		clusterAt = func(idx int) model.ClusterID { return subset[idx] }
-	}
-	results := make([]result, numC)
-	eval := func(idx int) {
-		est, portions, err := s.AssignDistribute(a, i, clusterAt(idx))
-		if err != nil {
-			return
+// bestEval returns the index of the highest estimate among the ok evals,
+// the first one on ties; -1 when none is ok.
+func bestEval(evals []greedyEval) int {
+	best := -1
+	for idx := range evals {
+		if evals[idx].ok && (best == -1 || evals[idx].est > evals[best].est) {
+			best = idx
 		}
-		results[idx] = result{est: est, portions: portions, ok: true}
 	}
+	return best
+}
+
+// placeBestFull is the exact path: price every cluster in gs's scope,
+// pick the best estimate, and fall through the estimate order until one
+// Assign sticks.
+func (s *Solver) placeBestFull(a *alloc.Allocation, i model.ClientID, gs *greedyState) error {
+	numC := s.scen.Cloud.NumClusters()
+	if gs.subset != nil {
+		numC = len(gs.subset)
+	}
+	if cap(gs.evals) < numC {
+		gs.evals = make([]greedyEval, numC)
+	}
+	evals := gs.evals[:numC]
+	gs.evals = evals
 	if s.cfg.Parallel && numC > 1 {
 		// The paper's distributed decision making: each cluster agent
 		// evaluates the client against its own state in parallel.
+		if len(gs.dists) < numC {
+			gs.dists = make([]distScratch, numC)
+		}
 		var wg sync.WaitGroup
 		for idx := 0; idx < numC; idx++ {
 			wg.Add(1)
 			go func(idx int) {
 				defer wg.Done()
-				eval(idx)
+				s.evalCluster(a, i, gs, idx, &gs.dists[idx])
 			}(idx)
 		}
 		wg.Wait()
 	} else {
 		for idx := 0; idx < numC; idx++ {
-			eval(idx)
+			s.evalCluster(a, i, gs, idx, &gs.dist)
 		}
 	}
 
-	best := -1
-	for idx, r := range results {
-		if !r.ok {
-			continue
-		}
-		if best == -1 || r.est > results[best].est {
-			best = idx
-		}
-	}
-	if s.cfg.AdmissionControl && best != -1 && results[best].est < 0 {
+	best := bestEval(evals)
+	if s.cfg.AdmissionControl && best != -1 && evals[best].est < 0 {
 		// Serving this client anywhere would lose money; leave it out and
 		// let the exact-profit reassignment pass re-admit it if the
 		// linearized estimate was too pessimistic.
 		if f := s.flightSampled(i); f != nil {
 			f.Record(telemetry.Event{Kind: telemetry.EventPlaceReject, Client: int64(i),
-				Reason: "negative_gain", Exact: results[best].est, Trace: ref})
+				Reason: "negative_gain", Exact: evals[best].est, Trace: gs.ref})
 		}
 		return ErrCannotPlace
 	}
@@ -187,30 +174,36 @@ func (s *Solver) placeBestFull(a *alloc.Allocation, i model.ClientID, subset []m
 	// estimate is approximate, so an Assign can still fail in rare
 	// borderline cases.
 	for best != -1 {
-		r := results[best]
-		if err := a.Assign(i, clusterAt(best), r.portions); err == nil {
+		ev := &evals[best]
+		if err := a.Assign(i, ev.k, ev.portions); err == nil {
 			if f := s.flightSampled(i); f != nil {
 				f.Record(telemetry.Event{Kind: telemetry.EventPlaceAccept, Client: int64(i),
-					Cluster: int64(clusterAt(best)), Exact: r.est, Trace: ref})
+					Cluster: int64(ev.k), Exact: ev.est, Trace: gs.ref})
 			}
 			return nil
 		}
-		results[best].ok = false
-		best = -1
-		for idx, rr := range results {
-			if !rr.ok {
-				continue
-			}
-			if best == -1 || rr.est > results[best].est {
-				best = idx
-			}
-		}
+		ev.ok = false
+		best = bestEval(evals)
 	}
 	if f := s.flightSampled(i); f != nil {
 		f.Record(telemetry.Event{Kind: telemetry.EventPlaceReject, Client: int64(i),
-			Reason: "no_feasible_cluster", Trace: ref})
+			Reason: "no_feasible_cluster", Trace: gs.ref})
 	}
 	return ErrCannotPlace
+}
+
+// evalCluster prices client i on the idx-th cluster of gs's scope in scr
+// and records the outcome in gs.evals[idx], copying the portions into
+// the slot's recycled slice before scr is reused.
+func (s *Solver) evalCluster(a *alloc.Allocation, i model.ClientID, gs *greedyState, idx int, scr *distScratch) {
+	ev := &gs.evals[idx]
+	ev.k = model.ClusterID(idx)
+	if gs.subset != nil {
+		ev.k = gs.subset[idx]
+	}
+	est, portions, err := s.assignDistribute(a, i, ev.k, nil, scr)
+	ev.est, ev.ok = est, err == nil
+	ev.portions = append(ev.portions[:0], portions...)
 }
 
 // placeBestIndexed is the pruned path: refresh the index (lazy — only
@@ -271,15 +264,7 @@ func (s *Solver) placeBestIndexed(a *alloc.Allocation, i model.ClientID, gs *gre
 		}
 	}
 
-	best := -1
-	for idx := range evals {
-		if !evals[idx].ok {
-			continue
-		}
-		if best == -1 || evals[idx].est > evals[best].est {
-			best = idx
-		}
-	}
+	best := bestEval(evals)
 	if s.cfg.AdmissionControl && best != -1 && evals[best].est < 0 {
 		return s.escalateFull(a, i, gs, evaluated, scope, "negative_gain")
 	}
@@ -293,15 +278,7 @@ func (s *Solver) placeBestIndexed(a *alloc.Allocation, i model.ClientID, gs *gre
 			return nil
 		}
 		evals[best].ok = false
-		best = -1
-		for idx := range evals {
-			if !evals[idx].ok {
-				continue
-			}
-			if best == -1 || evals[idx].est > evals[best].est {
-				best = idx
-			}
-		}
+		best = bestEval(evals)
 	}
 	return s.escalateFull(a, i, gs, evaluated, scope, "topk_rejected")
 }
@@ -331,5 +308,5 @@ func (s *Solver) escalateFull(a *alloc.Allocation, i model.ClientID, gs *greedyS
 		f.Record(telemetry.Event{Kind: telemetry.EventEscalate, Client: int64(i),
 			Reason: reason, Trace: gs.ref})
 	}
-	return s.placeBestFull(a, i, gs.subset, gs.ref)
+	return s.placeBestFull(a, i, gs)
 }

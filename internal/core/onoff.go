@@ -260,12 +260,15 @@ func (s *Solver) turnOffServers(a *alloc.Allocation, k model.ClusterID) int {
 	}
 	sort.Slice(order, func(x, y int) bool { return order[x].utility < order[y].utility })
 
+	// One scratch for the cluster's drain experiments: per-cluster sweeps
+	// run on their own goroutines, so this call owns it.
+	var scr distScratch
 	var deactivated int
 	for _, cand := range order {
 		if !a.Active(cand.server) {
 			continue // drained as a side effect of an earlier commit
 		}
-		if s.tryDeactivate(a, k, cand.server) {
+		if s.tryDeactivate(a, k, cand.server, &scr) {
 			deactivated++
 		}
 	}
@@ -289,12 +292,12 @@ func (s *Solver) serverUtility(a *alloc.Allocation, j model.ServerID) float64 {
 
 // tryDeactivate drains server j inside a cluster-scoped transaction and
 // commits if the exact cluster profit improved.
-func (s *Solver) tryDeactivate(a *alloc.Allocation, k model.ClusterID, j model.ServerID) bool {
+func (s *Solver) tryDeactivate(a *alloc.Allocation, k model.ClusterID, j model.ServerID, scr *distScratch) bool {
 	txn := a.BeginCluster(k)
 	ok := true
 	for _, i := range a.ClientsOn(j) {
 		txn.Capture(i)
-		if !s.rerouteOff(a, i, k, j) {
+		if !s.rerouteOff(a, i, k, j, scr) {
 			ok = false
 			break
 		}
@@ -309,8 +312,9 @@ func (s *Solver) tryDeactivate(a *alloc.Allocation, k model.ClusterID, j model.S
 
 // rerouteOff removes client i's portion on server j. When the client has
 // other portions their α are re-scaled (respecting stability caps);
-// otherwise the client is fully re-assigned inside cluster k excluding j.
-func (s *Solver) rerouteOff(a *alloc.Allocation, i model.ClientID, k model.ClusterID, j model.ServerID) bool {
+// otherwise the client is fully re-assigned inside cluster k excluding j,
+// priced in scr.
+func (s *Solver) rerouteOff(a *alloc.Allocation, i model.ClientID, k model.ClusterID, j model.ServerID, scr *distScratch) bool {
 	ps := a.Portions(i)
 	var rest []alloc.Portion
 	var freed float64
@@ -333,7 +337,7 @@ func (s *Solver) rerouteOff(a *alloc.Allocation, i model.ClientID, k model.Clust
 	}
 	// Full re-assignment inside the cluster, excluding the drained server.
 	a.Unassign(i)
-	_, portions, err := s.assignDistribute(a, i, k, func(srv model.ServerID) bool { return srv != j }, nil)
+	_, portions, err := s.assignDistribute(a, i, k, func(srv model.ServerID) bool { return srv != j }, scr)
 	if err == nil {
 		if err := a.Assign(i, k, portions); err == nil {
 			return true

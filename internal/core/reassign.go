@@ -60,6 +60,8 @@ func (s *Solver) reassignmentPassSequential(ctx context.Context, a *alloc.Alloca
 	var moves int
 	var commitFails, restoreFails int64
 	var seen []model.ServerID // portionServerCost dedup scratch
+	var scr distScratch
+	var bestBuf []alloc.Portion // recycled copy of the best candidate's portions
 	for ci := 0; ci < s.scen.NumClients(); ci++ {
 		i := model.ClientID(ci)
 		if s.scen.Clients[ci].PredictedRate == 0 {
@@ -96,14 +98,15 @@ func (s *Solver) reassignmentPassSequential(ctx context.Context, a *alloc.Alloca
 		var bestK model.ClusterID
 		var bestPortions []alloc.Portion
 		for k := 0; k < numK; k++ {
-			_, portions, err := s.AssignDistribute(a, i, model.ClusterID(k))
+			_, portions, err := s.assignDistribute(a, i, model.ClusterID(k), nil, &scr)
 			if err != nil {
 				continue
 			}
 			if g, ok := gainOf(model.ClusterID(k), portions); ok && g > bestGain {
 				bestGain = g
 				bestK = model.ClusterID(k)
-				bestPortions = portions
+				bestBuf = append(bestBuf[:0], portions...)
+				bestPortions = bestBuf
 			}
 		}
 

@@ -125,8 +125,7 @@ func (s *Solver) solveSharded(ctx context.Context) (*alloc.Allocation, Stats, er
 	parallel.For(gopts, numShards, func(w, sh int) {
 		ssp, sctx := s.tel.startCtxAt(gctx, "solver.shard_greedy", sh)
 		ssp.Attr("shard", sh)
-		gs := s.newGreedyState(a, plan.clusters[sh])
-		gs.setRef(telemetry.RefFromContext(sctx))
+		gs := s.newGreedyState(a, plan.clusters[sh], telemetry.RefFromContext(sctx))
 		gss[sh] = gs
 		rng := parallel.Rand(s.cfg.Seed, uint64(sh))
 		clients := plan.owner[sh]

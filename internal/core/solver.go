@@ -221,12 +221,11 @@ func (s *Solver) InitialSolution(rng *rand.Rand) (*alloc.Allocation, error) {
 
 // buildInitial runs one greedy pass into an empty (fresh or Reset)
 // allocation. Candidate generation goes through a per-pass greedyState
-// (candidates.go): nil for the exact full scan, index-backed when
+// (candidates.go): the exact full scan, or index-backed when
 // Config.CandidateClusters enables top-k pruning. ref stamps the pass's
 // flight-recorder events with the enclosing span's trace context.
 func (s *Solver) buildInitial(a *alloc.Allocation, rng *rand.Rand, ref telemetry.TraceRef) error {
-	gs := s.newGreedyState(a, nil)
-	gs.setRef(ref)
+	gs := s.newGreedyState(a, nil, ref)
 	order := rng.Perm(s.scen.NumClients())
 	for _, ci := range order {
 		i := model.ClientID(ci)

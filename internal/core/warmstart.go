@@ -67,8 +67,7 @@ func (s *Solver) SolveFromCtx(ctx context.Context, prev *alloc.Allocation) (*all
 		}
 	}
 	var replaced int
-	gs := s.newGreedyState(a, nil)
-	gs.setRef(telemetry.RefFromContext(ctx))
+	gs := s.newGreedyState(a, nil, telemetry.RefFromContext(ctx))
 	for _, id := range displaced {
 		if err := s.placeBest(a, id, gs); err != nil {
 			if errors.Is(err, ErrCannotPlace) {

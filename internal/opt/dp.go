@@ -79,18 +79,21 @@ func combinePortions(values [][]float64, total int, ps *PortionScratch) (float64
 		if maxG > total {
 			maxG = total
 		}
-		for g := 0; g <= total; g++ {
-			if dp[g] == NegInf {
+		for g, d := range dp {
+			if d == NegInf {
 				continue
 			}
-			for u := 0; u+g <= total && u <= maxG; u++ {
-				v := vals[u]
-				if v == NegInf || math.IsNaN(v) {
-					continue
-				}
-				if cand := dp[g] + v; cand > next[g+u] {
-					next[g+u] = cand
-					row[g+u] = int16(u)
+			// An infeasible cell (NegInf or NaN) makes cand NegInf or NaN,
+			// which never compares greater, so it needs no test of its own.
+			lim := total - g
+			if lim > maxG {
+				lim = maxG
+			}
+			nx, ch := next[g:g+lim+1], row[g:g+lim+1]
+			for u, v := range vals[:lim+1] {
+				if cand := d + v; cand > nx[u] {
+					nx[u] = cand
+					ch[u] = int16(u)
 				}
 			}
 		}

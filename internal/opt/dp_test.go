@@ -147,3 +147,58 @@ func TestCombinePortionsVsBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// TestCombinePortionsDeadRows is the property Assign_Distribute's row
+// reduction rests on: leaving out dead rows (NegInf for every unit > 0)
+// and cutting a row after its last feasible unit keep the value
+// bit-identical and the load on the same rows. Integer-valued rows make
+// many assignments tie exactly, so the cases also check that the
+// reduction does not move a tie to another row.
+func TestCombinePortionsDeadRows(t *testing.T) {
+	dead := []float64{0, NegInf, NegInf, NegInf}
+	a := []float64{0, 1.1, 1.9, 2.4}
+	b := []float64{0, 0.7, 1.5, NegInf}
+	lin := []float64{0, 1, 2, 3} // any split of the units ties
+	cases := []struct {
+		name  string
+		full  [][]float64
+		keep  []int // rows of full that stay, in order
+		total int
+	}{
+		{"dead rows", [][]float64{dead, a, dead, b, dead}, []int{1, 3}, 3},
+		{"only dead rows", [][]float64{dead, dead}, nil, 0},
+		{"dead rows between ties", [][]float64{lin, dead, lin, dead, dead, lin}, []int{0, 2, 5}, 3},
+		{"dead first and last", [][]float64{dead, b, a, lin, dead}, []int{1, 2, 3}, 3},
+	}
+	for _, tc := range cases {
+		reduced := make([][]float64, len(tc.keep))
+		for p, r := range tc.keep {
+			row := tc.full[r]
+			last := len(row) - 1
+			for last > 0 && row[last] == NegInf {
+				last--
+			}
+			reduced[p] = row[:last+1]
+		}
+		wantV, wantU, wantErr := CombinePortions(tc.full, tc.total)
+		gotV, gotU, gotErr := CombinePortions(reduced, tc.total)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("%s: err %v, full table %v", tc.name, gotErr, wantErr)
+		}
+		if math.Float64bits(gotV) != math.Float64bits(wantV) {
+			t.Fatalf("%s: value %v, full table %v", tc.name, gotV, wantV)
+		}
+		p := 0
+		for r := range tc.full {
+			var u int
+			if p < len(tc.keep) && tc.keep[p] == r {
+				u = gotU[p]
+				p++
+			}
+			if wantErr == nil && wantU[r] != u {
+				t.Fatalf("%s: row %d gets %d units, full table %d (full %v, reduced %v)",
+					tc.name, r, u, wantU[r], wantU, gotU)
+			}
+		}
+	}
+}
