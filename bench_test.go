@@ -18,6 +18,7 @@ package cloudalloc
 // live in the test suite and EXPERIMENTS.md records a full run.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -119,7 +120,7 @@ func BenchmarkComplexityScaling(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, _, err := solver.Solve(); err != nil {
+					if _, _, err := solver.SolveCtx(context.Background()); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -147,7 +148,7 @@ func BenchmarkDistributedSpeedup(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := mgr.Solve(); err != nil {
+				if _, _, err := mgr.SolveCtx(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 				mgr.Close()
@@ -290,7 +291,7 @@ func BenchmarkSolveProposed(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := solver.Solve(); err != nil {
+				if _, _, err := solver.SolveCtx(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -319,7 +320,7 @@ func BenchmarkSolveMultiStart(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := solver.Solve(); err != nil {
+					if _, _, err := solver.SolveCtx(context.Background()); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -385,7 +386,7 @@ func BenchmarkSimulate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, _, err := solver.Solve()
+	a, _, err := solver.SolveCtx(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -467,20 +468,20 @@ func BenchmarkWarmStart(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prev, _, err := solver.Solve()
+	prev, _, err := solver.SolveCtx(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := solver.SolveFrom(prev); err != nil {
+			if _, _, err := solver.SolveFromCtx(context.Background(), prev); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := solver.Solve(); err != nil {
+			if _, _, err := solver.SolveCtx(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -32,6 +32,7 @@
 package cloudalloc
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -319,11 +320,13 @@ func NewAllocator(scen *Scenario, opts ...Option) (*Allocator, error) {
 }
 
 // Solve runs the full heuristic and returns the allocation.
-func (al *Allocator) Solve() (*Allocation, SolveStats, error) { return al.solver.Solve() }
+func (al *Allocator) Solve() (*Allocation, SolveStats, error) {
+	return al.solver.SolveCtx(context.Background())
+}
 
 // Improve runs the local-search phases on an existing allocation.
 func (al *Allocator) Improve(a *Allocation) {
-	al.solver.ImproveLocal(a, nil)
+	al.solver.ImproveLocalCtx(context.Background(), a, nil)
 }
 
 // Evaluate returns the approximate profit and portions of placing client

@@ -149,7 +149,7 @@ func TestPublicAPIDistributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
-	a, stats, err := mgr.Solve()
+	a, stats, err := mgr.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

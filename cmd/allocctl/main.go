@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -75,7 +76,7 @@ func run(args []string) error {
 	}
 	defer mgr.Close()
 
-	a, stats, err := mgr.Solve()
+	a, stats, err := mgr.SolveCtx(context.Background())
 	if err != nil {
 		return err
 	}

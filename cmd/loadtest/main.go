@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -225,7 +226,7 @@ func runSchedule(scen *model.Scenario, cfg config, sch schedule, refProfit float
 		return nil, err
 	}
 	t0 := time.Now()
-	a, stats, err := mgr.Solve()
+	a, stats, err := mgr.SolveCtx(context.Background())
 	if err != nil {
 		return nil, err
 	}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -192,7 +193,7 @@ func runMode(cfg config, mode string) (experiment.OnlineRow, error) {
 	if err != nil {
 		return experiment.OnlineRow{}, err
 	}
-	cold, _, err := solver.Solve()
+	cold, _, err := solver.SolveCtx(context.Background())
 	if err != nil {
 		return experiment.OnlineRow{}, err
 	}

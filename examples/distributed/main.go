@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -69,7 +70,7 @@ func run() error {
 	}
 	defer mgr.Close()
 
-	a, stats, err := mgr.Solve()
+	a, stats, err := mgr.SolveCtx(context.Background())
 	if err != nil {
 		return err
 	}

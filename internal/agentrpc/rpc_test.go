@@ -124,7 +124,7 @@ func TestDistributedSolveOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, stats, err := mgr.Solve()
+	a, stats, err := mgr.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestDistributedSolveOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr2.Close()
-	a2, _, err := mgr2.Solve()
+	a2, _, err := mgr2.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

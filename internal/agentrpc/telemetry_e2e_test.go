@@ -1,6 +1,7 @@
 package agentrpc
 
 import (
+	"context"
 	"net"
 	"strings"
 	"testing"
@@ -46,7 +47,7 @@ func TestDistributedSolveTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, stats, err := mgr.Solve()
+	a, stats, err := mgr.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestSolverPhaseSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := solver.Solve(); err != nil {
+	if _, _, err := solver.SolveCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	spans := spanNames(set)

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -72,7 +73,7 @@ func TestProposedBeatsModifiedPS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proposed, _, err := solver.Solve()
+	proposed, _, err := solver.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

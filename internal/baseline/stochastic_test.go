@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -123,7 +124,7 @@ func TestSolveExhaustiveTinyInstance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prop, _, err := solver.Solve()
+		prop, _, err := solver.SolveCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,7 +50,7 @@ func faultFreeSolve(t testing.TB, scen *model.Scenario, mcfg cluster.ManagerConf
 		t.Fatal(err)
 	}
 	defer mgr.Close()
-	a, stats, err := mgr.Solve()
+	a, stats, err := mgr.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestCrashMidRoundConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
-	a, stats, err := mgr.Solve()
+	a, stats, err := mgr.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatalf("chaos solve failed: %v", err)
 	}

@@ -129,7 +129,7 @@ func TestManagerSolveMatchesQuality(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
-	a, stats, err := mgr.Solve()
+	a, stats, err := mgr.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestManagerSolveMatchesQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := solver.Solve()
+	seq, _, err := solver.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestManagerCentralReassign(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mOff.Close()
-	aOff, stOff, err := mOff.Solve()
+	aOff, stOff, err := mOff.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestManagerCentralReassign(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mOn.Close()
-	aOn, stOn, err := mOn.Solve()
+	aOn, stOn, err := mOn.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +231,11 @@ func TestManagerDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	a1, _, err := m1.Solve()
+	a1, _, err := m1.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, _, err := m2.Solve()
+	a2, _, err := m2.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestManagerPropagatesAgentFailures(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer mgr.Close()
-			if _, _, err := mgr.Solve(); !errors.Is(err, errTestInjected) {
+			if _, _, err := mgr.SolveCtx(context.Background()); !errors.Is(err, errTestInjected) {
 				t.Fatalf("err = %v, want injected failure", err)
 			}
 		})

@@ -159,7 +159,7 @@ type Manager struct {
 	tel    *mgrTel
 	// reassigner runs the central reassignment polish on the merged
 	// allocation (nil when CentralReassign is off). Its cross-round
-	// dirty-cluster marks persist between Solve calls.
+	// dirty-cluster marks persist between SolveCtx calls.
 	reassigner *core.Solver
 }
 
@@ -210,13 +210,8 @@ func NewManager(scen *model.Scenario, agents []Agent, cfg ManagerConfig) (*Manag
 	return m, nil
 }
 
-// Solve runs the distributed heuristic and merges the agents' final
-// cluster states into a single allocation.
-func (m *Manager) Solve() (*alloc.Allocation, ManagerStats, error) {
-	return m.SolveCtx(context.Background())
-}
-
-// SolveCtx is Solve under a caller-provided context. The whole solve —
+// SolveCtx runs the distributed heuristic and merges the agents' final
+// cluster states into a single allocation. The whole solve —
 // initial passes, improvement rounds, every RPC to every agent, and the
 // agents' own spans on the far side of the wire — records as one trace
 // tree rooted at the manager.solve span (or at the caller's span when

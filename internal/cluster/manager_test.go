@@ -160,7 +160,7 @@ func TestSolveAllReject(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
-	a, stats, err := mgr.Solve()
+	a, stats, err := mgr.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestSolveSingleAgentDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
-	a, stats, err := mgr.Solve()
+	a, stats, err := mgr.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestManagerConfigFaultFieldsValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
-	if _, _, err := mgr.Solve(); err != nil {
+	if _, _, err := mgr.SolveCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -42,7 +43,7 @@ func TestDistributedSolveSingleTraceTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
-	if _, _, err := mgr.Solve(); err != nil {
+	if _, _, err := mgr.SolveCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -178,7 +179,7 @@ func TestAssignDistributeReducedEquiv(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkAllPlacements(t, s, a, &scr, &counts)
-		s.ImproveLocal(a, nil)
+		s.ImproveLocalCtx(context.Background(), a, nil)
 		checkAllPlacements(t, s, a, &scr, &counts)
 	}
 	t.Logf("%+v", counts)

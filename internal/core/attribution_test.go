@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"os"
 	"testing"
@@ -45,7 +46,7 @@ func TestAttributionIdentity(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newTestSolver(t, scen, tc.mutate)
-			_, st, err := s.Solve()
+			_, st, err := s.SolveCtx(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +62,7 @@ func TestAttributionIdentity(t *testing.T) {
 
 	t.Run("warmstart", func(t *testing.T) {
 		s := newTestSolver(t, scen, nil)
-		a, _, err := s.Solve()
+		a, _, err := s.SolveCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +72,7 @@ func TestAttributionIdentity(t *testing.T) {
 			next.Clients[i].PredictedRate *= 1.05
 		}
 		s2 := newTestSolver(t, next, nil)
-		_, st, err := s2.SolveFrom(a)
+		_, st, err := s2.SolveFromCtx(context.Background(), a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,12 +86,12 @@ func TestAttributionIdentity(t *testing.T) {
 func TestAttributionWithTelemetry(t *testing.T) {
 	scen := smallScenario(t, 40, 22)
 	off := newTestSolver(t, scen, nil)
-	_, stOff, err := off.Solve()
+	_, stOff, err := off.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	on := newTestSolver(t, scen, func(c *Config) { c.Telemetry = telemetry.New(nil) })
-	_, stOn, err := on.Solve()
+	_, stOn, err := on.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestAttributionIdentity10k(t *testing.T) {
 		c.Shards = scen.Cloud.NumClusters() / 8
 		c.CandidateClusters = 8
 	})
-	_, st, err := s.Solve()
+	_, st, err := s.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,13 +19,13 @@ func TestTopKExactFallbackEquiv(t *testing.T) {
 	scen := smallScenario(t, 60, 9)
 	numK := scen.Cloud.NumClusters()
 	exact := newTestSolver(t, scen, nil)
-	aExact, stExact, err := exact.Solve()
+	aExact, stExact, err := exact.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{numK, numK + 10} {
 		s := newTestSolver(t, scen, func(c *Config) { c.CandidateClusters = k })
-		a, st, err := s.Solve()
+		a, st, err := s.SolveCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,11 +157,11 @@ func TestPrunedSolveWorkerEquiv(t *testing.T) {
 	}
 	s1 := newTestSolver(t, scen, mutate(1))
 	sN := newTestSolver(t, scen, mutate(8))
-	a1, st1, err := s1.Solve()
+	a1, st1, err := s1.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	aN, stN, err := sN.Solve()
+	aN, stN, err := sN.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,12 +187,12 @@ func TestPrunedSolveQuality(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact := newTestSolver(t, scen, nil)
-	_, stExact, err := exact.Solve()
+	_, stExact, err := exact.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	pruned := newTestSolver(t, scen, func(c *Config) { c.CandidateClusters = 4 })
-	a, st, err := pruned.Solve()
+	a, st, err := pruned.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ type Config struct {
 	ShadowPriceScale float64
 	// Workers bounds the solver's fan-out worker pools: the multi-start
 	// greedy phase (solver.go, internal/parallel) and the scoring stage
-	// of the pipelined reassignment pass (reassign.go). 0, the default,
+	// of the whole-cloud reassignment pass (reassign_pipeline.go). 0, the default,
 	// uses runtime.GOMAXPROCS; 1 runs sequentially. Results are
 	// bit-identical for every worker count: each greedy start draws from
 	// its own seed-split RNG stream and the winner is reduced under a
@@ -67,12 +67,6 @@ type Config struct {
 	// but differ from the unsharded solve (a different, equally valid
 	// search trajectory).
 	Shards int
-	// DisableParallelReassign falls back to the legacy strictly
-	// sequential reassignment pass — score and commit one client at a
-	// time in ID order — instead of the two-stage score/commit pipeline.
-	// Kept as the pre-pipeline baseline and escape hatch; the pipeline
-	// may visit a different (equally valid) local optimum.
-	DisableParallelReassign bool
 	// AdmissionControl lets the provider leave a client unserved when
 	// serving it would lose money (negative marginal profit). The paper's
 	// constraint (6) nominally serves everyone, but its experiments only

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -17,7 +18,7 @@ func TestSolveMultiStartWorkerEquivalence(t *testing.T) {
 			c.NumInitSolutions = 6
 			c.Workers = workers
 		})
-		a, stats, err := s.Solve()
+		a, stats, err := s.SolveCtx(context.Background())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -54,7 +55,7 @@ func TestMultiStartArenaReuse(t *testing.T) {
 			c.MaxLocalSearchIters = 0 // isolate the multi-start phase
 			c.Workers = workers
 		})
-		a, stats, err := s.Solve()
+		a, stats, err := s.SolveCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

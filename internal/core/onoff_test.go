@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -286,13 +287,13 @@ func TestTurnOnRespectsDiskConstraint(t *testing.T) {
 func TestReassignmentPassNoOpOnOptimal(t *testing.T) {
 	scen := consolidationScenario(t)
 	s := newTestSolver(t, scen, nil)
-	a, _, err := s.Solve()
+	a, _, err := s.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := a.Profit()
 	// A second pass over an already-converged solution must not change it.
-	s.ReassignmentPass(a)
+	s.ReassignmentPassCtx(context.Background(), a)
 	if math.Abs(a.Profit()-p) > 1e-9 {
 		t.Fatalf("pass on converged solution changed profit: %v -> %v", p, a.Profit())
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -26,7 +27,7 @@ func TestSolveInvariantsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		a, stats, err := solver.Solve()
+		a, stats, err := solver.SolveCtx(context.Background())
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false

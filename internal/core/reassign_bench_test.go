@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -11,7 +12,7 @@ import (
 
 // benchReassignSetup builds a solver in the requested mode plus a greedy
 // (not yet reassigned) allocation — the state the pass sees inside
-// ImproveLocal's first round.
+// ImproveLocalCtx's first round.
 func benchReassignSetup(b *testing.B, clients int, mutate func(*Config)) (*Solver, *alloc.Allocation) {
 	b.Helper()
 	wcfg := workload.DefaultConfig()
@@ -37,16 +38,13 @@ func benchReassignSetup(b *testing.B, clients int, mutate func(*Config)) (*Solve
 }
 
 // BenchmarkReassignmentPass measures one reassignment pass over a fresh
-// greedy allocation in the three modes: the legacy sequential pass (the
-// pre-pipeline baseline), the pipeline with one scoring worker, and the
-// pipeline with the full worker pool. Run with -cpu 1,4,8 for the
-// scaling row.
+// greedy allocation with one scoring worker and with the full worker
+// pool. Run with -cpu 1,4,8 for the scaling row.
 func BenchmarkReassignmentPass(b *testing.B) {
 	modes := []struct {
 		name   string
 		mutate func(*Config)
 	}{
-		{"legacy", func(c *Config) { c.DisableParallelReassign = true }},
 		{"workers1", func(c *Config) { c.Workers = 1 }},
 		{"parallel", func(c *Config) { c.Workers = 0 }},
 	}
@@ -60,7 +58,7 @@ func BenchmarkReassignmentPass(b *testing.B) {
 					b.StopTimer()
 					a := base.Clone()
 					b.StartTimer()
-					s.ReassignmentPass(a)
+					s.ReassignmentPassCtx(context.Background(), a)
 				}
 			})
 		}
@@ -69,30 +67,19 @@ func BenchmarkReassignmentPass(b *testing.B) {
 
 // BenchmarkReassignmentPassConverged measures the cross-round skip path:
 // repeated passes over an already-converged allocation, where the
-// pipeline's dirty-cluster marks reduce the pass to a clean-scan —
+// pass's dirty-cluster marks reduce the pass to a clean-scan —
 // O(clients) instead of O(clients × clusters × servers).
 func BenchmarkReassignmentPassConverged(b *testing.B) {
-	modes := []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"legacy", func(c *Config) { c.DisableParallelReassign = true }},
-		{"parallel", func(c *Config) { c.Workers = 0 }},
-	}
-	for _, clients := range []int{250} {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("clients=%d/mode=%s", clients, mode.name), func(b *testing.B) {
-				s, a := benchReassignSetup(b, clients, mode.mutate)
-				for i := 0; i < 10 && s.ReassignmentPass(a) > 0; i++ {
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for n := 0; n < b.N; n++ {
-					if moves := s.ReassignmentPass(a); moves != 0 {
-						b.Fatalf("converged allocation moved %d clients", moves)
-					}
-				}
-			})
+	b.Run("clients=250/mode=parallel", func(b *testing.B) {
+		s, a := benchReassignSetup(b, 250, func(c *Config) { c.Workers = 0 })
+		for i := 0; i < 10 && s.ReassignmentPassCtx(context.Background(), a) > 0; i++ {
 		}
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			if moves := s.ReassignmentPassCtx(context.Background(), a); moves != 0 {
+				b.Fatalf("converged allocation moved %d clients", moves)
+			}
+		}
+	})
 }

@@ -3,37 +3,56 @@ package core
 import (
 	"context"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/model"
+	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
 
-// The pipelined reassignment pass (the default, see ReassignmentPass)
-// splits the work the legacy pass interleaves:
+// The reassignment pass (ReassignmentPassCtx) runs in two stages:
 //
-//  1. Scoring: a worker pool prices every client's candidate placements
-//     (one Assign_Distribute plus one exact marginal gain per cluster)
-//     against the frozen allocation through a read-only alloc.View —
-//     no mutation, no ledger traffic, so workers share the allocation
-//     without locks.
-//  2. Commit: a serial loop pops candidates in descending profit-delta
-//     order (ties broken by ascending ClientID — this fixed order is
-//     what makes the result independent of the worker count) and applies
-//     each through a Txn, revalidating the exact delta against the live
-//     allocation. Candidates whose source or target cluster was dirtied
-//     by an earlier commit are rescored against the live state and
-//     re-enter the queue.
+//  1. Scoring: every client's candidate placements (one
+//     Assign_Distribute plus one exact marginal gain per cluster) are
+//     priced against the frozen allocation through a read-only
+//     alloc.View — no mutation, no ledger traffic, so the whole-cloud
+//     pass's worker pool shares the allocation without locks.
+//  2. Commit (commitCands): a serial loop pops candidates in descending
+//     profit-delta order (ties broken by ascending ClientID — this fixed
+//     order is what makes the result independent of the worker count)
+//     and applies each through a Txn, revalidating the exact delta
+//     against the live allocation. Candidates whose source or target
+//     cluster was dirtied by an earlier commit are rescored against the
+//     live state and re-enter the queue.
 //
-// Across passes the solver remembers, per client, the cluster versions
-// its last decision depended on (its own cluster and its best candidate
-// cluster). A client whose relevant clusters are untouched since then is
-// skipped entirely, so passes on a converged allocation approach
-// O(changed) instead of O(clients × clusters).
+// The whole-cloud pass and a shard's pass (reassignScoped, shard.go)
+// share the commit loop and differ only in scope (reassignRun).
+//
+// Across passes the whole-cloud pass remembers, per client, the cluster
+// versions its last decision depended on (its own cluster and its best
+// candidate cluster). A client whose relevant clusters are untouched
+// since then is skipped entirely, so passes on a converged allocation
+// approach O(changed) instead of O(clients × clusters).
+
+// ReassignmentPassCtx is the cloud-level move of the paper's local
+// search: each client is removed and re-placed on whichever cluster now
+// offers the highest exact profit ("this local search is not only used
+// to change client assignment to decrease the resource saturation in
+// some of clusters but also to combine the clients", Section V). It is a
+// central-manager operation — unlike the per-cluster phases it may move
+// clients across clusters. Returns the number of improving moves
+// (evictions and re-admissions included).
+//
+// Candidates are compared by their exact marginal profit against the
+// "client unserved" state: moving one client only changes its own revenue
+// and the costs of the servers it leaves or joins, so the comparison is
+// O(portions) instead of O(clients). The pass's flight-recorder events
+// carry the trace context of the span in ctx, linking each
+// commit/restore failure to the round it happened in.
+func (s *Solver) ReassignmentPassCtx(ctx context.Context, a *alloc.Allocation) int {
+	return s.reassignmentPass(ctx, a, false)
+}
 
 // reassignCand is one client's committed-to-be-tried action: a move to
 // cluster toK (fromK = -1 re-admits an unserved client), or an eviction
@@ -95,16 +114,18 @@ type reassignScratch struct {
 	cands []alloc.Candidate
 }
 
-// reassignState carries the cross-pass skip marks plus recycled pass
-// buffers. It is bound to one allocation; a pass over a different
-// allocation starts fresh.
+// reassignState carries the whole-cloud pass's cross-pass skip marks
+// plus recycled pass buffers. It is bound to one allocation; a pass over
+// a different allocation starts fresh.
 type reassignState struct {
 	a       *alloc.Allocation
 	marks   []clientMark
 	toScore []model.ClientID
 	results []scoreResult
 	heap    []reassignCand
-	scratch reassignScratch // serial-path and commit-loop scratch
+	// scratch holds one entry per scoring worker; the commit loop uses
+	// scratch[0] once scoring is done.
+	scratch []reassignScratch
 	// ix is the candidate index when Config.CandidateClusters enables
 	// top-k pruning; refreshed serially before the parallel scoring stage
 	// and before each commit-loop rescore.
@@ -130,41 +151,90 @@ func (s *Solver) storeReassignState(st *reassignState) {
 	s.reassignMu.Unlock()
 }
 
-// reassignWorkers resolves the scoring pool size for n scorable clients.
-func (s *Solver) reassignWorkers(n int) int {
-	w := s.cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+// reassignRun is what one pass threads from scoring into the commit
+// loop. The whole-cloud pass leaves subset nil and keeps cross-pass
+// marks; a shard's pass scores and commits within subset and keeps none.
+type reassignRun struct {
+	a         *alloc.Allocation
+	subset    []model.ClusterID // clusters in scope; nil = whole cloud
+	marks     []clientMark      // cross-pass skip marks; nil = none kept
+	reconcile bool              // log sampled moves as reconcile_move
+	ix        *alloc.Index      // candidate index; nil = exact scan
+	outGain   float64           // gain of leaving a client unserved
+	heap      []reassignCand
+
+	evaluated, pruned int64 // index tallies of every scoring
 }
 
-func (s *Solver) reassignmentPassPipelined(ctx context.Context, a *alloc.Allocation, reconcile bool) int {
-	ref := telemetry.RefFromContext(ctx)
+func (s *Solver) newReassignRun(a *alloc.Allocation, subset []model.ClusterID) *reassignRun {
+	r := &reassignRun{a: a, subset: subset, outGain: math.Inf(-1)}
+	if s.cfg.AdmissionControl {
+		r.outGain = 0
+	}
+	return r
+}
+
+// take records one scoring outcome: the client's mark (when marks are
+// kept), the index tallies and its candidate, if any.
+func (r *reassignRun) take(i model.ClientID, res *scoreResult) {
+	if r.marks != nil {
+		r.marks[i] = res.mark
+	}
+	r.evaluated += res.evaluated
+	r.pruned += res.pruned
+	if res.hasCand {
+		r.heap = candPush(r.heap, res.cand)
+	}
+}
+
+// refreshIndex brings the candidate index up to date with the live
+// allocation, within scope (lazy: only dirtied clusters recompute).
+func (r *reassignRun) refreshIndex() {
+	switch {
+	case r.ix == nil:
+	case r.subset == nil:
+		r.ix.Refresh()
+	default:
+		r.ix.RefreshClusters(r.subset)
+	}
+}
+
+// begin opens the transaction a commit runs in. A shard's transaction
+// covers exactly the clusters the move touches, so no other shard's
+// ledger is read or settled.
+func (r *reassignRun) begin(c *reassignCand) *alloc.Txn {
+	switch {
+	case r.subset == nil:
+		return r.a.Begin()
+	case c.fromK >= 0 && c.toK >= 0 && c.fromK != c.toK:
+		return r.a.BeginClusters(model.ClusterID(c.fromK), model.ClusterID(c.toK))
+	case c.fromK >= 0:
+		return r.a.BeginClusters(model.ClusterID(c.fromK))
+	default:
+		return r.a.BeginClusters(model.ClusterID(c.toK))
+	}
+}
+
+// reassignmentPass is the whole-cloud pass. reconcile marks the sharded
+// solve's serial cross-shard reconciliation: successful moves are then
+// logged (sampled) to the flight recorder as reconcile_move events.
+func (s *Solver) reassignmentPass(ctx context.Context, a *alloc.Allocation, reconcile bool) int {
 	n := s.scen.NumClients()
 	st := s.takeReassignState(a, n)
 	defer s.storeReassignState(st)
+	r := s.newReassignRun(a, nil)
+	r.marks = st.marks
+	r.reconcile = reconcile
+	r.heap = st.heap[:0]
 
 	// Candidate index: built once per allocation, refreshed lazily here
 	// (serial — the scoring workers only read it).
-	var ix *alloc.Index
 	if k := s.cfg.CandidateClusters; k > 0 && k < s.scen.Cloud.NumClusters() {
 		if st.ix == nil || st.ix.Allocation() != a {
 			st.ix = alloc.NewIndex(a)
 		}
 		st.ix.Refresh()
-		ix = st.ix
-	}
-
-	outGain := math.Inf(-1)
-	if s.cfg.AdmissionControl {
-		outGain = 0
+		r.ix = st.ix
 	}
 
 	// Stage 0: the cross-pass skip rule — clients whose own and best
@@ -192,42 +262,17 @@ func (s *Solver) reassignmentPassPipelined(ctx context.Context, a *alloc.Allocat
 		st.results = make([]scoreResult, len(toScore))
 	}
 	results := st.results[:len(toScore)]
-	if workers := s.reassignWorkers(len(toScore)); workers <= 1 {
-		for idx, i := range toScore {
-			results[idx] = s.scoreClient(a, i, outGain, &st.scratch, ix, nil)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var ws reassignScratch
-				for {
-					idx := int(next.Add(1)) - 1
-					if idx >= len(toScore) {
-						return
-					}
-					results[idx] = s.scoreClient(a, toScore[idx], outGain, &ws, ix, nil)
-				}
-			}()
-		}
-		wg.Wait()
+	if w := parallel.Bound(s.cfg.Workers, len(toScore)); len(st.scratch) < w {
+		st.scratch = append(st.scratch, make([]reassignScratch, w-len(st.scratch))...)
 	}
+	parallel.For(parallel.Options{Workers: s.cfg.Workers}, len(toScore), func(w, idx int) {
+		results[idx] = s.scoreClient(a, toScore[idx], r.outGain, &st.scratch[w], r.ix, nil)
+	})
 
 	// Fold the results serially in client order: deterministic marks and
 	// a deterministic initial heap regardless of worker interleaving.
-	heap := st.heap[:0]
-	var ixEvaluated, ixPruned int64
 	for idx, i := range toScore {
-		r := &results[idx]
-		st.marks[i] = r.mark
-		ixEvaluated += r.evaluated
-		ixPruned += r.pruned
-		if r.hasCand {
-			heap = candPush(heap, r.cand)
-		}
+		r.take(i, &results[idx])
 	}
 	if s.tel != nil {
 		s.tel.reassignScoreDur.ObserveSince(t0)
@@ -235,7 +280,18 @@ func (s *Solver) reassignmentPassPipelined(ctx context.Context, a *alloc.Allocat
 		s.tel.reassignSkipped.Add(int64(skipped))
 	}
 
-	// Stage 2: serial commit loop in descending-delta order.
+	moves := s.commitCands(ctx, r, &st.scratch[0])
+	st.heap = r.heap[:0]
+	return moves
+}
+
+// commitCands is stage 2 of every reassignment pass: a serial loop that
+// applies r's candidates in descending-delta order, rescoring those an
+// earlier commit made stale, then folds the pass's tallies into
+// telemetry. ws is the rescoring scratch. Returns the number of moves.
+func (s *Solver) commitCands(ctx context.Context, r *reassignRun, ws *reassignScratch) int {
+	ref := telemetry.RefFromContext(ctx)
+	a := r.a
 	var tCommit time.Time
 	if s.tel != nil {
 		tCommit = time.Now()
@@ -243,9 +299,9 @@ func (s *Solver) reassignmentPassPipelined(ctx context.Context, a *alloc.Allocat
 	var moves int
 	var rescores, commitFails, restoreFails int64
 	var rescoreDur time.Duration
-	for len(heap) > 0 {
+	for len(r.heap) > 0 {
 		var c reassignCand
-		heap, c = candPop(heap)
+		r.heap, c = candPop(r.heap)
 
 		if (c.fromK >= 0 && a.ClusterVersion(model.ClusterID(c.fromK)) != c.fromVer) ||
 			(c.toK >= 0 && a.ClusterVersion(model.ClusterID(c.toK)) != c.toVer) {
@@ -255,24 +311,17 @@ func (s *Solver) reassignmentPassPipelined(ctx context.Context, a *alloc.Allocat
 			if s.tel != nil {
 				tr = time.Now()
 			}
-			if ix != nil {
-				ix.Refresh() // lazy: only the committed-to clusters recompute
-			}
-			r := s.scoreClient(a, c.client, outGain, &st.scratch, ix, nil)
-			st.marks[c.client] = r.mark
-			ixEvaluated += r.evaluated
-			ixPruned += r.pruned
+			r.refreshIndex()
+			res := s.scoreClient(a, c.client, r.outGain, ws, r.ix, r.subset)
+			r.take(c.client, &res)
 			rescores++
 			if s.tel != nil {
 				rescoreDur += time.Since(tr)
 			}
-			if r.hasCand {
-				heap = candPush(heap, r.cand)
-			}
 			continue
 		}
 
-		txn := a.Begin()
+		txn := r.begin(&c)
 		txn.Capture(c.client)
 		if c.fromK >= 0 {
 			a.Unassign(c.client)
@@ -300,7 +349,7 @@ func (s *Solver) reassignmentPassPipelined(ctx context.Context, a *alloc.Allocat
 		if delta := txn.Delta(); delta > c.minDelta {
 			txn.Commit()
 			moves++
-			if reconcile {
+			if r.reconcile {
 				if f := s.flightSampled(c.client); f != nil {
 					f.Record(telemetry.Event{Kind: telemetry.EventReconcileMove,
 						Client: int64(c.client), Cluster: int64(c.toK),
@@ -309,7 +358,9 @@ func (s *Solver) reassignmentPassPipelined(ctx context.Context, a *alloc.Allocat
 			}
 			// The commit changed the clusters this client's own decision
 			// depended on; make sure the next pass rescores it.
-			st.marks[c.client] = clientMark{}
+			if r.marks != nil {
+				r.marks[c.client] = clientMark{}
+			}
 		} else if rbErr := txn.Rollback(); rbErr != nil {
 			restoreFails++
 			s.flightRecord(telemetry.Event{Kind: telemetry.EventRestoreFail,
@@ -317,7 +368,6 @@ func (s *Solver) reassignmentPassPipelined(ctx context.Context, a *alloc.Allocat
 			s.debugf("reassign: rollback failed", "client", c.client, "err", rbErr)
 		}
 	}
-	st.heap = heap[:0]
 	if s.tel != nil {
 		s.tel.reassignCommitDur.Observe(max(0, time.Since(tCommit)-rescoreDur).Seconds())
 		if rescoreDur > 0 {
@@ -330,20 +380,20 @@ func (s *Solver) reassignmentPassPipelined(ctx context.Context, a *alloc.Allocat
 		if restoreFails > 0 {
 			s.tel.reassignRestoreFails.Add(restoreFails)
 		}
-		if ixEvaluated > 0 {
-			s.tel.indexEvaluated.Add(ixEvaluated)
+		if r.evaluated > 0 {
+			s.tel.indexEvaluated.Add(r.evaluated)
 		}
-		if ixPruned > 0 {
-			s.tel.indexPruned.Add(ixPruned)
+		if r.pruned > 0 {
+			s.tel.indexPruned.Add(r.pruned)
 		}
 	}
 	return moves
 }
 
 // scoreClient prices candidate clusters for one client against the
-// current allocation (read-only, through an exclusion view) and
-// translates the legacy pass's commit switch into at most one candidate
-// action. The mark records what the decision depended on.
+// current allocation (read-only, through an exclusion view) and decides
+// at most one candidate action. The mark records what the decision
+// depended on.
 //
 // With a nil ix every cluster in scope is evaluated exactly (the seed
 // behaviour). With an index, the client's own cluster is always evaluated
@@ -432,9 +482,10 @@ func (s *Solver) scoreClient(a *alloc.Allocation, i model.ClientID, outGain floa
 	}
 	res := scoreResult{mark: mark, evaluated: evaluated, pruned: int64(scope) - evaluated}
 
-	// The legacy commit switch, split into "which action" (decided here
-	// on scored gains) and "apply" (the commit loop, revalidated against
-	// the live ledger).
+	// Which action, decided on the scored gains: a move to the best
+	// cluster when it beats the current placement and leaving the client
+	// out, else an eviction when serving the client loses money. The
+	// commit loop applies it, revalidated against the live ledger.
 	switch {
 	case bestK >= 0 && bestGain > prevGain+1e-9 && bestGain > outGain:
 		c := reassignCand{
@@ -455,7 +506,7 @@ func (s *Solver) scoreClient(a *alloc.Allocation, i model.ClientID, outGain floa
 			}
 		case math.IsInf(prevGain, -1):
 			// The current placement is saturated; any feasible move out
-			// of it is taken, as the legacy pass would.
+			// of it is taken.
 			c.delta = math.Inf(1)
 			c.minDelta = math.Inf(-1)
 		default:
@@ -540,4 +591,12 @@ func candPop(h []reassignCand) ([]reassignCand, reassignCand) {
 		i = next
 	}
 	return h, top
+}
+
+// debugf emits a debug log line through the telemetry set's logger; inert
+// when telemetry is disabled.
+func (s *Solver) debugf(msg string, args ...any) {
+	if s.tel != nil {
+		s.tel.set.Logger().Debug(msg, args...)
+	}
 }

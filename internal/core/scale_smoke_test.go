@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"os"
 	"testing"
@@ -35,7 +36,7 @@ func TestScaleSmoke10k(t *testing.T) {
 			c.Shards = numK / 8
 			c.CandidateClusters = k
 		})
-		a, st, err := s.Solve()
+		a, st, err := s.SolveCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/model"
@@ -35,11 +36,11 @@ func TestShardedSolveWorkerEquiv(t *testing.T) {
 		}
 		s1 := newTestSolver(t, scen, mutate(1))
 		sN := newTestSolver(t, scen, mutate(8))
-		a1, st1, err := s1.Solve()
+		a1, st1, err := s1.SolveCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		aN, stN, err := sN.Solve()
+		aN, stN, err := sN.SolveCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,12 +63,12 @@ func TestShardedSolveWorkerEquiv(t *testing.T) {
 func TestShardedSolveQuality(t *testing.T) {
 	scen := shardScenario(t, 120, 8, 77)
 	exact := newTestSolver(t, scen, nil)
-	_, stExact, err := exact.Solve()
+	_, stExact, err := exact.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sharded := newTestSolver(t, scen, func(c *Config) { c.Shards = 4 })
-	a, st, err := sharded.Solve()
+	a, st, err := sharded.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +100,11 @@ func TestShardedPrunedSolveEquiv(t *testing.T) {
 	}
 	s1 := newTestSolver(t, scen, mutate(1))
 	sN := newTestSolver(t, scen, mutate(6))
-	a1, st1, err := s1.Solve()
+	a1, st1, err := s1.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	aN, stN, err := sN.Solve()
+	aN, stN, err := sN.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestShardedPrunedSolveEquiv(t *testing.T) {
 func TestShardsMoreThanClusters(t *testing.T) {
 	scen := shardScenario(t, 30, 3, 5)
 	s := newTestSolver(t, scen, func(c *Config) { c.Shards = 16 })
-	a, st, err := s.Solve()
+	a, st, err := s.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestShardedSolveNoReassign(t *testing.T) {
 		c.Shards = 3
 		c.DisableReassign = true
 	})
-	a, st, err := s.Solve()
+	a, st, err := s.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ type Solver struct {
 	prices shadowPrices
 	tel    *solverTel // nil when telemetry is disabled
 
-	// reassignSt caches the pipelined reassignment pass's cross-round
+	// reassignSt caches the whole-cloud reassignment pass's cross-round
 	// skip marks between calls (reassign_pipeline.go). The mutex makes
 	// check-out/check-in safe when callers run passes concurrently on
 	// different allocations.
@@ -45,8 +45,8 @@ type Stats struct {
 	// Attribution splits the profit between the initial solution and the
 	// local-search phases (attribution.go). Always populated — the deltas
 	// come from the allocation's O(touched) per-cluster ledger reads, so
-	// no telemetry set is needed. ImproveLocal fills the phase deltas;
-	// Solve/SolveFrom additionally set Initial and Final.
+	// no telemetry set is needed. ImproveLocalCtx fills the phase deltas;
+	// SolveCtx/SolveFromCtx additionally set Initial and Final.
 	Attribution Attribution
 	// Timings is the per-phase wall-clock breakdown (attribution.go).
 	Timings PhaseTimings
@@ -75,7 +75,7 @@ func NewSolver(scen *model.Scenario, cfg Config) (*Solver, error) {
 // Scenario returns the scenario the solver was built for.
 func (s *Solver) Scenario() *model.Scenario { return s.scen }
 
-// Solve runs the full heuristic: multi-start greedy initial solutions,
+// SolveCtx runs the full heuristic: multi-start greedy initial solutions,
 // then local search on the best one (paper Figure 3).
 //
 // The greedy starts fan out over a bounded worker pool (Config.Workers).
@@ -85,14 +85,11 @@ func (s *Solver) Scenario() *model.Scenario { return s.scen }
 // index ascending), so the solve is bit-identical for W=1 and W=N. Each
 // worker recycles one allocation arena across its starts (alloc.Reset),
 // keeping only its running best.
-func (s *Solver) Solve() (*alloc.Allocation, Stats, error) {
-	return s.SolveCtx(context.Background())
-}
-
-// SolveCtx is Solve under a caller-provided context: every span the
-// solve records — greedy, rounds, fan-outs, shards — parents into the
-// span carried by ctx (a fresh trace tree when ctx carries none), and
-// flight-recorder events are stamped with that trace context.
+//
+// Every span the solve records — greedy, rounds, fan-outs, shards —
+// parents into the span carried by ctx (a fresh trace tree when ctx
+// carries none), and flight-recorder events are stamped with that trace
+// context.
 func (s *Solver) SolveCtx(ctx context.Context) (*alloc.Allocation, Stats, error) {
 	if s.cfg.Shards > 1 && s.scen.Cloud.NumClusters() > 1 {
 		// Sharded mode (shard.go): clusters partitioned across independent
@@ -240,18 +237,13 @@ func (s *Solver) buildInitial(a *alloc.Allocation, rng *rand.Rand, ref telemetry
 	return nil
 }
 
-// ImproveLocal runs the local-search phases until the profit is steady or
-// the iteration budget is exhausted. It mutates a in place and records
-// activity in stats (which may be nil).
-func (s *Solver) ImproveLocal(a *alloc.Allocation, stats *Stats) {
-	s.ImproveLocalCtx(context.Background(), a, stats)
-}
-
-// ImproveLocalCtx is ImproveLocal under a caller-provided context: round
-// and reassignment spans parent into the span carried by ctx. It always
-// accumulates the per-phase profit deltas and timings into
-// stats.Attribution and stats.Timings (Initial/Final stay zero unless the
-// caller sets them, as Solve and SolveFrom do).
+// ImproveLocalCtx runs the local-search phases until the profit is
+// steady or the iteration budget is exhausted. It mutates a in place and
+// records activity in stats (which may be nil). Round and reassignment
+// spans parent into the span carried by ctx. It always accumulates the
+// per-phase profit deltas and timings into stats.Attribution and
+// stats.Timings (Initial/Final stay zero unless the caller sets them, as
+// SolveCtx and SolveFromCtx do).
 func (s *Solver) ImproveLocalCtx(ctx context.Context, a *alloc.Allocation, stats *Stats) {
 	if stats == nil {
 		stats = &Stats{}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -131,7 +132,7 @@ func TestInitialSolutionAssignsEveryone(t *testing.T) {
 func TestSolveImprovesOnInitial(t *testing.T) {
 	scen := smallScenario(t, 50, 5)
 	s := newTestSolver(t, scen, nil)
-	a, stats, err := s.Solve()
+	a, stats, err := s.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +157,11 @@ func TestSolveDeterministic(t *testing.T) {
 	scen := smallScenario(t, 30, 6)
 	s1 := newTestSolver(t, scen, nil)
 	s2 := newTestSolver(t, scen, nil)
-	a1, _, err := s1.Solve()
+	a1, _, err := s1.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, _, err := s2.Solve()
+	a2, _, err := s2.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +174,11 @@ func TestSolveParallelMatchesSequential(t *testing.T) {
 	scen := smallScenario(t, 30, 7)
 	seq := newTestSolver(t, scen, nil)
 	par := newTestSolver(t, scen, func(c *Config) { c.Parallel = true })
-	a1, _, err := seq.Solve()
+	a1, _, err := seq.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, _, err := par.Solve()
+	a2, _, err := par.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestSolveOverloadedCloudDegradesGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newTestSolver(t, scen, nil)
-	a, stats, err := s.Solve()
+	a, stats, err := s.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +225,11 @@ func TestAblationSwitchesRespected(t *testing.T) {
 		c.DisableTurnOn = true
 		c.DisableTurnOff = true
 	})
-	af, sf, err := full.Solve()
+	af, sf, err := full.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ac, sc, err := crippled.Solve()
+	ac, sc, err := crippled.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestPlaceBestRejectsWhenFull(t *testing.T) {
 	if _, _, err := s.AssignDistribute(a, 0, 0); !errors.Is(err, ErrCannotPlace) {
 		t.Fatalf("err = %v, want ErrCannotPlace", err)
 	}
-	sol, stats, err := s.Solve()
+	sol, stats, err := s.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,24 +11,20 @@ import (
 	"repro/internal/telemetry"
 )
 
-// SolveFrom re-solves for this solver's scenario starting from a previous
-// epoch's allocation instead of an empty cloud (paper Figure 3:
+// SolveFromCtx re-solves for this solver's scenario starting from a
+// previous epoch's allocation instead of an empty cloud (paper Figure 3:
 // "curr_state_k = state of the cluster at end of prev. epoch").
 //
 // prev may belong to a different scenario snapshot — typically the same
 // cloud with drifted client arrival rates. Every client keeps its previous
 // portions when they are still feasible under the new rates; clients whose
 // old placement saturates are re-placed greedily; then the usual local
-// search runs. Returns the allocation, stats and the number of clients
-// that had to be re-placed.
-func (s *Solver) SolveFrom(prev *alloc.Allocation) (*alloc.Allocation, Stats, error) {
-	return s.SolveFromCtx(context.Background(), prev)
-}
-
-// SolveFromCtx is SolveFrom under a caller-provided context: the warm
-// start records a solver.solve_from span (replay + re-placements +
-// local search) parenting into the span carried by ctx — under the epoch
-// controller this chains every epoch's solve into one trace per step.
+// search runs. Returns the allocation and stats.
+//
+// The warm start records a solver.solve_from span (replay +
+// re-placements + local search) parenting into the span carried by ctx —
+// under the epoch controller this chains every epoch's solve into one
+// trace per step.
 func (s *Solver) SolveFromCtx(ctx context.Context, prev *alloc.Allocation) (*alloc.Allocation, Stats, error) {
 	if prev == nil {
 		return nil, Stats{}, errors.New("core: nil previous allocation")

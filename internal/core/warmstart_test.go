@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 func TestSolveFromKeepsFeasiblePlacements(t *testing.T) {
 	scen := smallScenario(t, 30, 21)
 	s1 := newTestSolver(t, scen, nil)
-	prev, _, err := s1.Solve()
+	prev, _, err := s1.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,7 @@ func TestSolveFromKeepsFeasiblePlacements(t *testing.T) {
 		next.Clients[i].PredictedRate *= 0.95
 	}
 	s2 := newTestSolver(t, next, nil)
-	a, stats, err := s2.SolveFrom(prev)
+	a, stats, err := s2.SolveFromCtx(context.Background(), prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestSolveFromKeepsFeasiblePlacements(t *testing.T) {
 	}
 
 	// Quality must be close to a cold solve of the new scenario.
-	cold, _, err := s2.Solve()
+	cold, _, err := s2.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestSolveFromKeepsFeasiblePlacements(t *testing.T) {
 func TestSolveFromReplacesSaturatedClients(t *testing.T) {
 	scen := smallScenario(t, 20, 22)
 	s1 := newTestSolver(t, scen, nil)
-	prev, _, err := s1.Solve()
+	prev, _, err := s1.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestSolveFromReplacesSaturatedClients(t *testing.T) {
 		next.Clients[i].PredictedRate *= 3
 	}
 	s2 := newTestSolver(t, next, nil)
-	a, _, err := s2.SolveFrom(prev)
+	a, _, err := s2.SolveFromCtx(context.Background(), prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestSolveFromReplacesSaturatedClients(t *testing.T) {
 func TestSolveFromRejectsShapeMismatch(t *testing.T) {
 	scen := smallScenario(t, 10, 23)
 	s := newTestSolver(t, scen, nil)
-	prev, _, err := s.Solve()
+	prev, _, err := s.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +94,10 @@ func TestSolveFromRejectsShapeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := newTestSolver(t, other, nil)
-	if _, _, err := s2.SolveFrom(prev); err == nil {
+	if _, _, err := s2.SolveFromCtx(context.Background(), prev); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
-	if _, _, err := s2.SolveFrom(nil); err == nil {
+	if _, _, err := s2.SolveFromCtx(context.Background(), nil); err == nil {
 		t.Fatal("nil previous accepted")
 	}
 }
@@ -127,7 +128,7 @@ func driftChurn(t *testing.T, n int, scenSeed, driftSeed int64, departFrac float
 func TestSolveFromDropsDepartedClients(t *testing.T) {
 	scen := smallScenario(t, 30, 24)
 	s1 := newTestSolver(t, scen, nil)
-	prev, _, err := s1.Solve()
+	prev, _, err := s1.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestSolveFromDropsDepartedClients(t *testing.T) {
 	}
 
 	s2 := newTestSolver(t, drift, nil)
-	a, _, err := s2.SolveFrom(prev)
+	a, _, err := s2.SolveFromCtx(context.Background(), prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestSolveFromPlacesArrivals(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1 := newTestSolver(t, base, nil)
-	prev, _, err := s1.Solve()
+	prev, _, err := s1.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestSolveFromPlacesArrivals(t *testing.T) {
 	// They arrive: fresh scenario with every rate positive.
 	next := smallScenario(t, 30, 25)
 	s2 := newTestSolver(t, next, nil)
-	a, _, err := s2.SolveFrom(prev)
+	a, _, err := s2.SolveFromCtx(context.Background(), prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,14 +222,14 @@ func TestSolveFromWarmBeatsColdGreedy(t *testing.T) {
 	for _, seed := range []int64{31, 32, 33, 34, 35} {
 		base := smallScenario(t, 40, seed)
 		s1 := newTestSolver(t, base, nil)
-		prev, _, err := s1.Solve()
+		prev, _, err := s1.SolveCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		drift := driftChurn(t, 40, seed, seed*7+1, 0.15)
 		warmSolver := newTestSolver(t, drift, nil)
-		warm, _, err := warmSolver.SolveFrom(prev)
+		warm, _, err := warmSolver.SolveFromCtx(context.Background(), prev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +241,7 @@ func TestSolveFromWarmBeatsColdGreedy(t *testing.T) {
 			c.MaxLocalSearchIters = 0
 			c.NumInitSolutions = 1
 		})
-		cold, _, err := coldGreedy.Solve()
+		cold, _, err := coldGreedy.SolveCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

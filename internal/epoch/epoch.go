@@ -11,6 +11,7 @@
 package epoch
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -140,7 +141,7 @@ func Run(scen *model.Scenario, cfg Config) ([]Result, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Work on a private copy: epochs mutate client rates.
-	cur := CloneScenario(scen)
+	cur := model.CloneScenario(scen)
 	var (
 		results []Result
 		prev    *alloc.Allocation
@@ -156,9 +157,9 @@ func Run(scen *model.Scenario, cfg Config) ([]Result, error) {
 		start := time.Now()
 		var a *alloc.Allocation
 		if cfg.WarmStart && prev != nil {
-			a, _, err = solver.SolveFrom(prev)
+			a, _, err = solver.SolveFromCtx(context.Background(), prev)
 		} else {
-			a, _, err = solver.Solve()
+			a, _, err = solver.SolveCtx(context.Background())
 		}
 		if err != nil {
 			return nil, err
@@ -272,12 +273,4 @@ func sameServers(a, b []alloc.Portion) bool {
 		}
 	}
 	return true
-}
-
-// CloneScenario deep-copies a scenario so callers can mutate rates
-// without touching the original. It now lives in internal/model (the
-// online service needs it without importing epoch); this alias keeps the
-// historical epoch-level name working.
-func CloneScenario(s *model.Scenario) *model.Scenario {
-	return model.CloneScenario(s)
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"text/tabwriter"
@@ -89,7 +90,7 @@ func RunAblation(cfg AblationConfig) ([]AblationRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			a, _, err := solver.Solve()
+			a, _, err := solver.SolveCtx(context.Background())
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"text/tabwriter"
@@ -70,7 +71,7 @@ func RunComparators(cfg ComparatorConfig) ([]ComparatorRow, error) {
 			if err != nil {
 				return 0, err
 			}
-			a, _, err := solver.Solve()
+			a, _, err := solver.SolveCtx(context.Background())
 			if err != nil {
 				return 0, err
 			}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"text/tabwriter"
@@ -95,7 +96,7 @@ func timeSolve(scen *model.Scenario, cfg core.Config) (time.Duration, error) {
 		return 0, err
 	}
 	start := time.Now()
-	if _, _, err := solver.Solve(); err != nil {
+	if _, _, err := solver.SolveCtx(context.Background()); err != nil {
 		return 0, err
 	}
 	return time.Since(start), nil

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -112,7 +113,7 @@ func RunMultistart(cfg MultistartConfig) (*MultistartReport, error) {
 			var profit float64
 			for r := 0; r < cfg.Repeats; r++ {
 				start := time.Now()
-				_, stats, err := s.Solve()
+				_, stats, err := s.SolveCtx(context.Background())
 				if err != nil {
 					return 0, 0, err
 				}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,8 +17,7 @@ import (
 
 // ReassignConfig drives the reassignment-pass microbenchmark backing the
 // REASSIGN section of EXPERIMENTS.md: one pass over a fresh greedy
-// allocation, timed in the legacy sequential mode and in the pipelined
-// mode with one and with all scoring workers.
+// allocation, timed with one and with all scoring workers.
 type ReassignConfig struct {
 	ClientCounts []int
 	Repeats      int
@@ -41,18 +41,11 @@ func DefaultReassignConfig() ReassignConfig {
 type ReassignRow struct {
 	Clients int `json:"clients"`
 	Servers int `json:"servers"`
-	// Moves the pipelined pass commits on the greedy allocation; the
-	// pipeline commits the same set for every worker count.
-	Moves int `json:"moves"`
-	// LegacyMoves may differ: the legacy pass is a different algorithm
-	// (mutate-and-measure, immediate commit in client order).
-	LegacyMoves int           `json:"legacy_moves"`
-	Legacy      time.Duration `json:"legacy_ns"`
-	Workers1    time.Duration `json:"workers1_ns"`
-	Parallel    time.Duration `json:"parallel_ns"`
-	// Speedups are legacy time over pipeline time.
-	SpeedupWorkers1 float64 `json:"speedup_workers1"`
-	SpeedupParallel float64 `json:"speedup_parallel"`
+	// Moves the pass commits on the greedy allocation; it commits the
+	// same set for every worker count.
+	Moves    int           `json:"moves"`
+	Workers1 time.Duration `json:"workers1_ns"`
+	Parallel time.Duration `json:"parallel_ns"`
 }
 
 // ReassignReport is the machine-readable record written to
@@ -96,10 +89,6 @@ func RunReassign(cfg ReassignConfig) (*ReassignReport, error) {
 			}
 			return s, base, nil
 		}
-		sLegacy, baseLegacy, err := mode(func(c *core.Config) { c.DisableParallelReassign = true })
-		if err != nil {
-			return nil, err
-		}
 		s1, base1, err := mode(func(c *core.Config) { c.Workers = 1 })
 		if err != nil {
 			return nil, err
@@ -116,24 +105,17 @@ func RunReassign(cfg ReassignConfig) (*ReassignReport, error) {
 			for r := 0; r < cfg.Repeats; r++ {
 				a := base.Clone()
 				start := time.Now()
-				moves = s.ReassignmentPass(a)
+				moves = s.ReassignmentPassCtx(context.Background(), a)
 				total += time.Since(start)
 			}
 			return total / time.Duration(cfg.Repeats), moves
 		}
-		row.Legacy, row.LegacyMoves = timePass(sLegacy, baseLegacy)
 		row.Workers1, row.Moves = timePass(s1, base1)
 		var parMoves int
 		row.Parallel, parMoves = timePass(sN, baseN)
 		if parMoves != row.Moves {
-			return nil, fmt.Errorf("experiment: pipeline nondeterminism at %d clients: %d moves with 1 worker, %d with %d",
+			return nil, fmt.Errorf("experiment: reassignment nondeterminism at %d clients: %d moves with 1 worker, %d with %d",
 				n, row.Moves, parMoves, report.GoMaxProcs)
-		}
-		if row.Workers1 > 0 {
-			row.SpeedupWorkers1 = float64(row.Legacy) / float64(row.Workers1)
-		}
-		if row.Parallel > 0 {
-			row.SpeedupParallel = float64(row.Legacy) / float64(row.Parallel)
 		}
 		report.Rows = append(report.Rows, row)
 	}
@@ -143,17 +125,16 @@ func RunReassign(cfg ReassignConfig) (*ReassignReport, error) {
 // ReassignTable renders the report as text.
 func ReassignTable(rep *ReassignReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Reassignment pass: legacy vs pipelined (GOMAXPROCS=%d, %d CPUs, mean of %d)\n",
+	fmt.Fprintf(&b, "Reassignment pass: 1 vs all scoring workers (GOMAXPROCS=%d, %d CPUs, mean of %d)\n",
 		rep.GoMaxProcs, rep.NumCPU, rep.Repeats)
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "clients\tservers\tlegacy\tworkers=1\tworkers=max\tspeedup(1)\tspeedup(max)\tmoves")
+	fmt.Fprintln(w, "clients\tservers\tworkers=1\tworkers=max\tmoves")
 	for _, r := range rep.Rows {
-		fmt.Fprintf(w, "%d\t%d\t%s\t%s\t%s\t%.2fx\t%.2fx\t%d\n",
+		fmt.Fprintf(w, "%d\t%d\t%s\t%s\t%d\n",
 			r.Clients, r.Servers,
-			r.Legacy.Round(time.Microsecond),
 			r.Workers1.Round(time.Microsecond),
 			r.Parallel.Round(time.Microsecond),
-			r.SpeedupWorkers1, r.SpeedupParallel, r.Moves)
+			r.Moves)
 	}
 	w.Flush()
 	return b.String()

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -151,7 +152,7 @@ func RunScale(cfg ScaleExpConfig, progress io.Writer) (*ScaleReport, error) {
 			fmt.Fprintf(progress, "scale: %d clients, %d clusters, shards=%d topk=%d...\n",
 				n, scen.Cloud.NumClusters(), sc.Shards, sc.CandidateClusters)
 		}
-		a, st, err := s.Solve()
+		a, st, err := s.SolveCtx(context.Background())
 		if err != nil {
 			return nil, err
 		}
@@ -184,7 +185,7 @@ func RunScale(cfg ScaleExpConfig, progress io.Writer) (*ScaleReport, error) {
 			if err != nil {
 				return nil, err
 			}
-			_, est, err := es.Solve()
+			_, est, err := es.SolveCtx(context.Background())
 			if err != nil {
 				return nil, err
 			}

@@ -6,6 +6,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -153,7 +154,7 @@ func runScenario(cfg SweepConfig, clients int, seed int64) (ScenarioStats, error
 	if err != nil {
 		return ScenarioStats{}, err
 	}
-	proposed, stats, err := solver.Solve()
+	proposed, stats, err := solver.SolveCtx(context.Background())
 	if err != nil {
 		return ScenarioStats{}, err
 	}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -63,7 +64,7 @@ func RunValidation(cfg ValidationConfig) (ValidationResult, error) {
 	if err != nil {
 		return ValidationResult{}, err
 	}
-	a, _, err := solver.Solve()
+	a, _, err := solver.SolveCtx(context.Background())
 	if err != nil {
 		return ValidationResult{}, err
 	}

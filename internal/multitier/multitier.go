@@ -15,6 +15,7 @@
 package multitier
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -122,7 +123,7 @@ func Solve(cloud model.Cloud, apps []App, cfg Config) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, _, err := solver.Solve()
+	a, _, err := solver.SolveCtx(context.Background())
 	if err != nil {
 		return nil, err
 	}

@@ -290,7 +290,7 @@ func New(scen *model.Scenario, cfg Config) (*Service, error) {
 		s.grossRate = tel.Gauge("online_gross_pending_rate")
 	}
 
-	a, _, err := solver.Solve()
+	a, _, err := solver.SolveCtx(context.Background())
 	if err != nil {
 		return nil, fmt.Errorf("online: initial solve: %w", err)
 	}

@@ -1,6 +1,7 @@
 package online
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -234,7 +235,7 @@ func TestChurnProfitRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, _, err := solver.Solve()
+	cold, _, err := solver.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -163,7 +164,7 @@ func TestSimulateValidatesSolvedAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _, err := solver.Solve()
+	a, _, err := solver.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
